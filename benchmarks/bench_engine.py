@@ -218,12 +218,10 @@ def test_upec_methodology_sat_cost(benchmark, simplify):
 
 
 # ----------------------------------------------------------------------
-# Obligation slicing: export cost and shipped bytes, sliced vs. unsliced
+# Obligation slicing: export cost and shipped bytes
 # ----------------------------------------------------------------------
 @pytest.mark.benchmark(group="slice")
-@pytest.mark.parametrize("sliced", [False, True],
-                         ids=["unsliced", "sliced"])
-def test_obligation_export_cost(benchmark, sliced):
+def test_obligation_export_cost(benchmark):
     """Export the Tab.-I methodology workload's proof obligations (all
     window frames at the full commitment, then a refinement-style subset
     commitment — the shape the Fig.-5 loop produces) and report the
@@ -240,14 +238,12 @@ def test_obligation_export_cost(benchmark, sliced):
     # Emit every cone once so rounds measure pure snapshot/slice cost,
     # not first-time Tseitin emission.
     for t in (1, 2):
-        model.frame_obligation(regs, t, slice=sliced)
-    model.frame_obligation(regs[: len(regs) // 2], 2, slice=sliced)
+        model.frame_obligation(regs, t)
+    model.frame_obligation(regs[: len(regs) // 2], 2)
 
     def run():
-        obs = [model.frame_obligation(regs, t, slice=sliced)
-               for t in (1, 2)]
-        obs.append(model.frame_obligation(regs[: len(regs) // 2], 2,
-                                          slice=sliced))
+        obs = [model.frame_obligation(regs, t) for t in (1, 2)]
+        obs.append(model.frame_obligation(regs[: len(regs) // 2], 2))
         return sum(len(pickle.dumps(ob)) for ob in obs if ob is not None)
 
     exported_bytes = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -16,8 +16,6 @@ The solver-backed commands (``check``, ``methodology``, ``sweep``)
 uniformly accept:
 
 ``--no-preprocess``   disable the SatELite-style CNF pre-/inprocessor
-``--no-slice``        export whole-context proof obligations instead of
-                      cone-of-influence slices
 ``--split``           split each frame's commitment check into
                       per-register(-group) proof obligations so deep
                       frames saturate the worker pool
@@ -90,9 +88,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     """The uniform solver/engine flag set of every SAT-backed command."""
     parser.add_argument("--no-preprocess", action="store_true",
                         help="solve the raw Tseitin CNF (no simplification)")
-    parser.add_argument("--no-slice", action="store_true",
-                        help="export whole-context proof obligations "
-                             "instead of cone-of-influence slices")
     split_group = parser.add_mutually_exclusive_group()
     split_group.add_argument("--split", dest="split", action="store_true",
                              default=None,
@@ -176,12 +171,6 @@ def _engine_from_args(args):
     return ProofEngine(jobs=args.jobs, cache_dir=args.cache_dir)
 
 
-def _slice_from_args(args):
-    """False for --no-slice, else None (the REPRO_ENGINE_SLICE default,
-    which is on)."""
-    return False if args.no_slice else None
-
-
 def _split_from_args(args):
     """True for --split, False for --no-split, else None (the
     REPRO_ENGINE_SPLIT default, which is off)."""
@@ -218,7 +207,6 @@ def cmd_check(args) -> int:
     model = UpecModel(soc, scenario, simplify=not args.no_preprocess)
     engine = _engine_from_args(args)
     result = UpecChecker(model, engine=engine,
-                         slice=_slice_from_args(args),
                          split=_split_from_args(args)).check(
         k=args.k, conflict_limit=args.conflict_limit,
         wall_budget=args.wall_budget,
@@ -242,7 +230,6 @@ def cmd_methodology(args) -> int:
         conflict_limit=args.conflict_limit,
         simplify=not args.no_preprocess,
         engine=_engine_from_args(args),
-        slice=_slice_from_args(args),
         split=_split_from_args(args),
         wall_budget=args.wall_budget,
     ).run(k=args.k)
@@ -284,7 +271,6 @@ def cmd_sweep(args) -> int:
         simplify=not args.no_preprocess,
         conflict_limit=args.conflict_limit,
         cache_dir=cache_dir,
-        slice=_slice_from_args(args),
         connect=connect,
         split=_split_from_args(args),
         wall_budget=args.wall_budget,

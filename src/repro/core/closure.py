@@ -106,13 +106,11 @@ class InductiveDiffProof:
         invariant: Sequence[CondEq],
         simplify: bool = True,
         engine=None,
-        slice: Optional[bool] = None,
         split: Optional[bool] = None,
     ) -> None:
         self.soc = soc
         self.scenario = scenario
         self.simplify = simplify
-        self.slice = slice
         # Accepted for uniformity with the UPEC stack; a no-op here — the
         # step case already is one obligation per register, the exact
         # shape REPRO_ENGINE_SPLIT asks for.
@@ -180,7 +178,6 @@ class InductiveDiffProof:
                         "obligation": name,
                         "invariant": [e.reg.name for e in self.invariant],
                     },
-                    slice=self.slice,
                 )
             tasks.append((name, target, exported))
 

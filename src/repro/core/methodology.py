@@ -101,7 +101,6 @@ class UpecMethodology:
         engine=None,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        slice: Optional[bool] = None,
         split: Optional[bool] = None,
         wall_budget: Optional[float] = None,
     ) -> None:
@@ -113,7 +112,6 @@ class UpecMethodology:
         #: verdict instead of an open-ended solve.
         self.wall_budget = wall_budget
         self.simplify = simplify
-        self.slice = slice
         self.split = split
         from repro.engine.pool import ProofEngine, resolve_engine
 
@@ -142,7 +140,7 @@ class UpecMethodology:
 
         checker = UpecChecker(
             model, engine=self.engine if self.engine is not None else INLINE,
-            slice=self.slice, split=self.split,
+            split=self.split,
         )
         commitment: List[Reg] = model.default_commitment()
         p_alerts: List[Alert] = []

@@ -231,7 +231,6 @@ class UpecModel:
         regs: Sequence[Reg],
         frame: int,
         conflict_limit: Optional[int] = None,
-        slice: Optional[bool] = None,
         wall_budget: Optional[float] = None,
     ):
         """Export the frame's commitment check as a self-contained
@@ -240,12 +239,12 @@ class UpecModel:
         Returns None when structural hashing already folded every pair to
         equality (the frame is proved without a SAT call).
 
-        With slicing (the default), the obligation is the frame's cone
-        of influence only — frame-tagged window assumptions of later
-        frames, other commitments and any other unrelated growth of the
-        shared context are excluded, so the same ``(commitment, frame)``
-        query always fingerprints identically (cross-window and
-        cross-run cache hits).
+        The obligation is the frame's cone of influence only —
+        frame-tagged window assumptions of later frames, other
+        commitments and any other unrelated growth of the shared context
+        are excluded, so the same ``(commitment, frame)`` query always
+        fingerprints identically (cross-window and cross-run cache
+        hits).
         """
         self.assume_window(frame)
         target = self.commitment_diff_lit(regs, frame)
@@ -263,7 +262,6 @@ class UpecModel:
                 "frame": frame,
                 "commitment": [reg.name for reg in regs],
             },
-            slice=slice,
             frame=frame,
         )
 
@@ -272,7 +270,6 @@ class UpecModel:
         regs: Sequence[Reg],
         frame: int,
         conflict_limit: Optional[int] = None,
-        slice: Optional[bool] = None,
         wall_budget: Optional[float] = None,
     ):
         """Export the frame's commitment check as independent
@@ -296,7 +293,7 @@ class UpecModel:
         from repro.engine.split import FrameSplit, cone_vars, group_cones
 
         full = self.frame_obligation(regs, frame, conflict_limit,
-                                     slice=slice, wall_budget=wall_budget)
+                                     wall_budget=wall_budget)
         if full is None:
             return None
         context = self.context
@@ -352,7 +349,6 @@ class UpecModel:
                     "group_index": index,
                     "groups": len(groups),
                 },
-                slice=slice,
                 frame=frame,
             ))
             group_names.append(names)

@@ -85,12 +85,14 @@ class UpecChecker:
     Without an ``engine`` the frames are solved incrementally on the
     model's in-process solver.  With an ``engine``
     (:class:`repro.engine.ProofEngine`) each frame becomes a
-    self-contained proof obligation: frames are solved on the engine's
-    worker pool (all siblings in flight at once, cancelled as soon as an
-    earlier frame alerts) and verdicts may come from its persistent
-    cache.  Both modes report the lowest alerting frame, so verdicts are
-    identical; an unset engine falls back to the environment default
-    (``REPRO_ENGINE_JOBS`` / ``REPRO_ENGINE_CACHE``).
+    self-contained, cone-of-influence sliced proof obligation: at
+    ``jobs == 1`` frames are exported and solved one at a time, so
+    nothing past an alert is unrolled; with more workers the whole
+    window is in flight at once and siblings are cancelled as soon as
+    an earlier frame alerts.  Verdicts may come from the engine's
+    persistent cache.  Both modes report the lowest alerting frame, so
+    verdicts are identical; an unset engine falls back to the
+    environment default (``REPRO_ENGINE_JOBS`` / ``REPRO_ENGINE_CACHE``).
 
     With ``split=True`` (or ``REPRO_ENGINE_SPLIT=1``) each frame's
     commitment check is further split into independent per-register(-
@@ -105,19 +107,12 @@ class UpecChecker:
     """
 
     def __init__(self, model: UpecModel, engine=None,
-                 slice: Optional[bool] = None,
                  split: Optional[bool] = None) -> None:
         self.model = model
-        self.slice = slice
         self.split = split
         from repro.engine.pool import resolve_engine
 
         self.engine = resolve_engine(engine)
-
-    def _slice_enabled(self) -> bool:
-        from repro.engine.slice import env_slice
-
-        return env_slice() if self.slice is None else bool(self.slice)
 
     def _split_enabled(self) -> bool:
         from repro.engine.split import env_split
@@ -126,21 +121,18 @@ class UpecChecker:
 
     def _frame_split(self, regs: Sequence[Reg], t: int,
                      conflict_limit: Optional[int], split: bool,
-                     slice: Optional[bool] = None,
                      wall_budget: Optional[float] = None):
         """One frame's check as a FrameSplit (or None when structurally
         proved) — a single-obligation degenerate split in unsplit mode,
-        so the engine paths walk one uniform shape."""
+        so the engine loop walks one uniform shape."""
         from repro.engine.split import FrameSplit
 
         model = self.model
         if split:
             return model.frame_split_obligations(
-                regs, t, conflict_limit, slice=slice,
-                wall_budget=wall_budget,
+                regs, t, conflict_limit, wall_budget=wall_budget,
             )
         obligation = model.frame_obligation(regs, t, conflict_limit,
-                                            slice=slice,
                                             wall_budget=wall_budget)
         if obligation is None:
             return None
@@ -236,20 +228,15 @@ class UpecChecker:
     ) -> UpecCheckResult:
         """Obligation-based frame checks via the scheduler/cache engine.
 
-        With slicing (the default) an obligation's content is canonical
-        — it depends only on the commitment and the frame, not on how
-        far the shared CNF mapper happened to grow — so at ``jobs=1``
-        frames are exported *lazily*, one at a time, and an early alert
-        stops the walk before later frames are ever unrolled.  At
-        ``jobs>1`` the window's frames are exported up front so all
-        siblings can be in flight at once; both schedules produce
-        bit-identical obligation streams, hence bit-identical verdicts
-        and counterexample models.
-
-        Without slicing, obligation content *does* depend on the shared
-        mapper's emission history, so every frame of the window is
-        exported eagerly at any jobs setting (the pre-slicing behaviour)
-        to keep jobs=1 and jobs=N obligation streams identical.
+        Frames are exported and solved in batches whose width follows
+        the engine's ``jobs``: one frame at a time at ``jobs == 1``, so
+        an alert at frame ``t`` means frames ``t+1..k`` are never
+        unrolled or exported; the whole window at ``jobs > 1``, so all
+        siblings can be in flight at once.  A sliced obligation is
+        canonical — it depends only on the commitment and the frame, not
+        on how far the shared CNF mapper happened to grow — so both
+        schedules produce bit-identical obligation streams, hence
+        bit-identical verdicts, cache keys and counterexample models.
 
         With splitting, each frame contributes its register-group
         obligations to the flattened batch (frame-major, group-minor);
@@ -259,101 +246,48 @@ class UpecChecker:
         """
         since = self.engine.stats()
         split = self._split_enabled()
-        if self.engine.jobs == 1 and self._slice_enabled():
-            return self._check_engine_lazy(
-                k, regs, start_frame, conflict_limit, witness_signals,
-                start, since, split, wall_budget,
-            )
-        frames = list(range(start_frame, k + 1))
-        batches = [
-            self._frame_split(regs, t, conflict_limit, split,
-                              slice=self.slice, wall_budget=wall_budget)
-            for t in frames
-        ]
-        pending = [ob for fs in batches if fs is not None
-                   for ob in fs.obligations]
-        verdicts = iter(self.engine.solve_ordered(
-            pending, early_stop=lambda v: not v.unsat
-        ))
+        width = 1 if self.engine.jobs == 1 else k - start_frame + 1
         checked = 0
-        for t, fs in zip(frames, batches):
-            checked += 1
-            if fs is None:
-                # Structural hashing folded every pair to equality: the
-                # commitment cannot differ at this frame (no SAT needed).
-                continue
-            for obligation in fs.obligations:
-                verdict = next(verdicts)
-                if verdict is None or verdict.unsat:
+        for first in range(start_frame, k + 1, width):
+            frames = range(first, min(first + width, k + 1))
+            batches = [
+                self._frame_split(regs, t, conflict_limit, split,
+                                  wall_budget=wall_budget)
+                for t in frames
+            ]
+            pending = [ob for fs in batches if fs is not None
+                       for ob in fs.obligations]
+            verdicts = iter(self.engine.solve_ordered(
+                pending, early_stop=lambda v: not v.unsat
+            ))
+            for t, fs in zip(frames, batches):
+                checked += 1
+                if fs is None:
+                    # Structural hashing folded every pair to equality:
+                    # the commitment cannot differ at this frame (no SAT
+                    # needed).
                     continue
-                if not verdict.sat:
-                    return UpecCheckResult(
-                        status=INCONCLUSIVE, k=t,
-                        runtime_s=time.perf_counter() - start,
-                        checked_frames=checked,
-                        stats=self._engine_stats(since),
-                        reason=_inconclusive_reason(verdict),
+                for obligation in fs.obligations:
+                    verdict = next(verdicts)
+                    if verdict is None or verdict.unsat:
+                        continue
+                    if not verdict.sat:
+                        return UpecCheckResult(
+                            status=INCONCLUSIVE, k=t,
+                            runtime_s=time.perf_counter() - start,
+                            checked_frames=checked,
+                            stats=self._engine_stats(since),
+                            reason=_inconclusive_reason(verdict),
+                        )
+                    if fs.full:
+                        return self._alert_result(
+                            obligation, verdict, t, regs, witness_signals,
+                            checked, start, since,
+                        )
+                    return self._alert_via_full(
+                        fs, t, regs, witness_signals, checked, start,
+                        since,
                     )
-                if fs.full:
-                    return self._alert_result(
-                        obligation, verdict, t, regs, witness_signals,
-                        checked, start, since,
-                    )
-                return self._alert_via_full(
-                    fs, t, regs, witness_signals, checked, start, since,
-                )
-        return UpecCheckResult(
-            status=PROVED, k=k, runtime_s=time.perf_counter() - start,
-            checked_frames=checked, stats=self._engine_stats(since),
-        )
-
-    def _check_engine_lazy(
-        self,
-        k: int,
-        regs: Sequence[Reg],
-        start_frame: int,
-        conflict_limit: Optional[int],
-        witness_signals: bool,
-        start: float,
-        since: Dict[str, int],
-        split: bool = False,
-        wall_budget: Optional[float] = None,
-    ) -> UpecCheckResult:
-        """Frame-at-a-time export and solve: an alert at frame ``t``
-        means frames ``t+1..k`` are never unrolled or exported.
-
-        In split mode each frame's group obligations still go through
-        the ordered scheduler (a per-frame batch), so the first
-        non-UNSAT group is the same one an eager jobs=N run selects."""
-        checked = 0
-        for t in range(start_frame, k + 1):
-            fs = self._frame_split(regs, t, conflict_limit, split,
-                                   slice=True, wall_budget=wall_budget)
-            checked += 1
-            if fs is None:
-                continue
-            verdicts = self.engine.solve_ordered(
-                fs.obligations, early_stop=lambda v: not v.unsat
-            )
-            for obligation, verdict in zip(fs.obligations, verdicts):
-                if verdict is None or verdict.unsat:
-                    continue
-                if not verdict.sat:
-                    return UpecCheckResult(
-                        status=INCONCLUSIVE, k=t,
-                        runtime_s=time.perf_counter() - start,
-                        checked_frames=checked,
-                        stats=self._engine_stats(since),
-                        reason=_inconclusive_reason(verdict),
-                    )
-                if fs.full:
-                    return self._alert_result(
-                        obligation, verdict, t, regs, witness_signals,
-                        checked, start, since,
-                    )
-                return self._alert_via_full(
-                    fs, t, regs, witness_signals, checked, start, since,
-                )
         return UpecCheckResult(
             status=PROVED, k=k, runtime_s=time.perf_counter() - start,
             checked_frames=checked, stats=self._engine_stats(since),

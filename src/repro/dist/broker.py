@@ -77,7 +77,6 @@ from repro.dist.protocol import (
     ProtocolError,
     frame_message,
     obligation_to_wire,
-    pick_codec,
     read_message,
 )
 from repro.engine.cache import ResultCache
@@ -264,13 +263,12 @@ class _AsyncConn:
                  writer: asyncio.StreamWriter) -> None:
         self.reader = reader
         self.writer = writer
-        self.codec = "json"
 
     def send(self, message: Dict[str, Any]) -> None:
         if self.writer.is_closing():
             raise BrokenPipeError("connection is closing")
         try:
-            self.writer.write(frame_message(message, self.codec))
+            self.writer.write(frame_message(message))
         except (RuntimeError, ConnectionError) as exc:
             raise BrokenPipeError(str(exc)) from exc
 
@@ -592,13 +590,11 @@ class Broker:
             await conn.drain()
             conn.close()
             return
-        conn.codec = pick_codec(hello.get("codecs", ["json"]))
         peer_id = f"{role}-{self._epoch}-{next(self._ids)}"
         try:
             conn.send({
                 "type": "welcome",
                 "proto": PROTO_VERSION,
-                "codec": conn.codec,
                 "id": peer_id,
                 "workers": len(self._workers),
             })
@@ -1519,9 +1515,9 @@ class _FleetPool:
 
     @property
     def jobs(self) -> int:
-        # Never 1: the checker layers take jobs==1 to mean in-process
-        # lazy export, which is never true against a fleet (see
-        # RemotePool.jobs).
+        # Never 1: the checker batches one frame at a time only at
+        # jobs == 1 (in-process solving), which is never true against a
+        # fleet (see RemotePool.jobs).
         return max(2, len(self._broker._workers))
 
     def close(self) -> None:

@@ -3,30 +3,27 @@
 Every message is one *frame* on a TCP stream::
 
     4 bytes   payload length, big-endian (excludes the header)
-    1 byte    codec tag: b"J" (JSON, UTF-8) or b"M" (msgpack)
+    1 byte    codec tag: b"J" (JSON, UTF-8), the only codec
     4 bytes   CRC32 over codec tag + payload, big-endian
     N bytes   the encoded message (a dict with a ``type`` key)
 
-The checksum is verified *before* the payload is handed to a codec: a
-frame corrupted in flight (or by a fault injector — see
+The checksum is verified *before* the payload is decoded: a frame
+corrupted in flight (or by a fault injector — see
 :mod:`repro.dist.chaos`) raises :class:`ProtocolError`, the receiving
 side recycles the connection, and the corrupt bytes are never
 deserialized.  Both fault-tolerance layers (worker reconnect, broker
 requeue, client resubmission) already treat a dropped connection as a
 recoverable event, so integrity checking composes with them for free.
 
-msgpack is used when both ends have it (it is substantially cheaper for
-the clause-heavy obligation payloads); JSON is the always-available
-fallback, so a broker and worker from the same codebase can talk even on
-an interpreter without the optional dependency.  The codec tag travels
-per frame, so a receiver never guesses.
+Payloads are JSON, tagged ``J`` in the header and covered by the
+checksum; a frame with any other tag is rejected with
+:class:`ProtocolError`.
 
 Connections open with a versioned handshake: the dialing side sends a
-``hello`` (protocol version, role, supported codecs), the broker answers
-``welcome`` (echoing the version and picking the session codec) or
-``error`` — a version mismatch is rejected *before* any obligation bytes
-are exchanged, so mixed deployments fail fast with a clear reason
-instead of corrupting a sweep.
+``hello`` (protocol version, role), the broker answers ``welcome``
+(echoing the version) or ``error`` — a version mismatch is rejected
+*before* any obligation bytes are exchanged, so mixed deployments fail
+fast with a clear reason instead of corrupting a sweep.
 
 :class:`Connection` wraps a socket with framed ``send``/``recv`` (the
 send side is lock-protected, so broker threads can deliver verdicts to a
@@ -41,15 +38,10 @@ import socket
 import struct
 import threading
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.obligation import ProofObligation
 from repro.errors import DistError
-
-try:  # optional accelerator; the protocol works without it
-    import msgpack  # type: ignore
-except ImportError:  # pragma: no cover - environment-dependent
-    msgpack = None
 
 #: Bump on any incompatible message-shape change; handshakes between
 #: different versions are rejected.  v2: the broker pushes ``cancel``
@@ -63,7 +55,6 @@ PROTO_VERSION = 3
 
 _HEADER = struct.Struct(">IBI")
 _TAG_JSON = ord("J")
-_TAG_MSGPACK = ord("M")
 
 
 def _frame_crc(tag: int, payload: bytes) -> int:
@@ -75,51 +66,24 @@ MAX_FRAME_BYTES = 1 << 29
 
 
 class ProtocolError(DistError):
-    """Malformed frame, unknown codec, or a failed handshake."""
-
-
-def supported_codecs() -> List[str]:
-    """Codecs this interpreter can decode, preferred first."""
-    return ["msgpack", "json"] if msgpack is not None else ["json"]
-
-
-def pick_codec(offered: Any) -> str:
-    """The session codec: our best codec the peer also offered."""
-    offered = [c for c in offered if isinstance(c, str)] \
-        if isinstance(offered, (list, tuple)) else []
-    for codec in supported_codecs():
-        if codec in offered:
-            return codec
-    return "json"
-
-
-def _encode(message: Dict[str, Any], codec: str) -> Tuple[int, bytes]:
-    if codec == "msgpack" and msgpack is not None:
-        return _TAG_MSGPACK, msgpack.packb(message, use_bin_type=True)
-    return _TAG_JSON, json.dumps(message, separators=(",", ":")).encode()
+    """Malformed frame, unknown codec tag, or a failed handshake."""
 
 
 def _decode(tag: int, payload: bytes) -> Dict[str, Any]:
-    if tag == _TAG_JSON:
-        message = json.loads(payload.decode("utf-8"))
-    elif tag == _TAG_MSGPACK:
-        if msgpack is None:
-            raise ProtocolError("peer sent a msgpack frame but msgpack is "
-                                "not available here")
-        message = msgpack.unpackb(payload, raw=False)
-    else:
+    if tag != _TAG_JSON:
         raise ProtocolError(f"unknown codec tag {tag!r}")
+    message = json.loads(payload.decode("utf-8"))
     if not isinstance(message, dict):
         raise ProtocolError("message is not a mapping")
     return message
 
 
-def frame_message(message: Dict[str, Any], codec: str = "json") -> bytes:
+def frame_message(message: Dict[str, Any]) -> bytes:
     """One fully encoded wire frame (header + payload) — shared by the
     threaded :class:`Connection` and the broker's asyncio streams."""
-    tag, payload = _encode(message, codec)
-    return _HEADER.pack(len(payload), tag, _frame_crc(tag, payload)) \
-        + payload
+    payload = json.dumps(message, separators=(",", ":")).encode()
+    return _HEADER.pack(len(payload), _TAG_JSON,
+                        _frame_crc(_TAG_JSON, payload)) + payload
 
 
 async def read_message(reader: "asyncio.StreamReader") \
@@ -146,17 +110,16 @@ async def read_message(reader: "asyncio.StreamReader") \
 
 
 class Connection:
-    """A framed, codec-negotiated message stream over one socket."""
+    """A framed message stream over one socket."""
 
-    def __init__(self, sock: socket.socket, codec: str = "json") -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.codec = codec
         self._send_lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------
     def send(self, message: Dict[str, Any]) -> None:
-        frame = frame_message(message, self.codec)
+        frame = frame_message(message)
         with self._send_lock:
             self.sock.sendall(frame)
 
@@ -233,7 +196,6 @@ def dial(address: Tuple[str, int], role: str,
             "proto": PROTO_VERSION,
             "role": role,
             "name": name,
-            "codecs": supported_codecs(),
         })
         try:
             reply = conn.recv()
@@ -250,7 +212,6 @@ def dial(address: Tuple[str, int], role: str,
         if reply.get("type") != "welcome":
             raise ProtocolError(
                 f"unexpected handshake reply {reply.get('type')!r}")
-        conn.codec = pick_codec([reply.get("codec", "json")])
         sock.settimeout(None)
         return conn, reply
     except BaseException:

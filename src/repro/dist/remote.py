@@ -90,12 +90,12 @@ class RemotePool:
     def jobs(self) -> int:
         """Advertised parallelism.
 
-        At least 2 even for a single-worker fleet: the scheduler layers
-        (:meth:`UpecChecker._check_engine`) use ``jobs == 1`` to mean
-        "solving is in-process and lazy export pays", which is never
-        true across a network — remote runs always take the eager
-        batch-export path, whose obligation stream is bit-identical to
-        the lazy one's.
+        At least 2 even for a single-worker fleet:
+        :meth:`UpecChecker._check_engine` batches one frame at a time
+        only at ``jobs == 1``, where solving is in-process and stopping
+        the unrolling at an alert pays; across a network a remote run
+        always ships the whole window as one batch, whose obligation
+        stream is bit-identical to the frame-at-a-time one.
         """
         return max(2, self._workers_at_connect)
 

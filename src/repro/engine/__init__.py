@@ -8,11 +8,10 @@ layers:
   assumptions + metadata) with :class:`Verdict` results; exported by
   :meth:`repro.formal.bmc.SatContext.export_obligation` and
   :meth:`repro.core.model.UpecModel.frame_obligation` instead of being
-  solved inline.  By default exports are cut to the query's cone of
-  influence (:mod:`repro.engine.slice`), canonically renumbered so the
-  same logical query is bit-identical — and cache-key identical — no
-  matter how the shared context grew (``REPRO_ENGINE_SLICE=0``
-  restores whole-context snapshots).  :mod:`repro.engine.split`
+  solved inline.  Exports are cut to the query's cone of influence
+  (:mod:`repro.engine.slice`), canonically renumbered so the same
+  logical query is bit-identical — and cache-key identical — no matter
+  how the shared context grew.  :mod:`repro.engine.split`
   additionally splits a UPEC frame's commitment check into independent
   per-register(-group) obligations (``split=`` /
   ``REPRO_ENGINE_SPLIT=1``) so one deep frame can saturate the fleet.
@@ -60,7 +59,7 @@ from repro.engine.pool import (
     default_engine,
     resolve_engine,
 )
-from repro.engine.slice import SLICE_ENV, SliceResult, env_slice, slice_cnf
+from repro.engine.slice import SliceResult, slice_cnf
 from repro.engine.split import SPLIT_ENV, FrameSplit, env_split
 from repro.engine.sweep import (
     CELL_ALERT_WINDOW,
@@ -79,7 +78,6 @@ __all__ = [
     "FrameSplit",
     "INLINE",
     "JOBS_ENV",
-    "SLICE_ENV",
     "SPLIT_ENV",
     "ProofEngine",
     "ProofObligation",
@@ -95,7 +93,6 @@ __all__ = [
     "UNSAT",
     "Verdict",
     "default_engine",
-    "env_slice",
     "env_split",
     "pack_model",
     "resolve_engine",

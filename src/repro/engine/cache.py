@@ -49,9 +49,10 @@ import zlib
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.obligation import DEFINITE, ProofObligation, Verdict
+from repro.errors import UsageError
 
 #: Environment knob: byte budget for every cache directory opened
-#: without an explicit ``max_bytes``.
+#: without an explicit ``max_bytes`` (unset or 0: no cap).
 CACHE_MAX_ENV = "REPRO_ENGINE_CACHE_MAX_BYTES"
 
 _INDEX_NAME = "_index.json"
@@ -86,14 +87,21 @@ def _payload_crc(payload: Dict[str, Any]) -> int:
 
 
 def _env_max_bytes() -> Optional[int]:
-    raw = os.environ.get(CACHE_MAX_ENV)
+    """The ``REPRO_ENGINE_CACHE_MAX_BYTES`` cap (None when unset or 0).
+
+    A value that is not a non-negative integer is a usage error rather
+    than a silently unbounded cache."""
+    raw = os.environ.get(CACHE_MAX_ENV, "").strip()
     if not raw:
         return None
     try:
         value = int(raw)
     except ValueError:
-        return None
-    return value if value > 0 else None
+        value = -1
+    if value < 0:
+        raise UsageError(
+            f"{CACHE_MAX_ENV} must be a non-negative integer, got {raw!r}")
+    return value or None
 
 
 class ResultCache:

@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.engine.cache import ResultCache
 from repro.engine.obligation import ProofObligation, Verdict, solve_obligation
+from repro.errors import UsageError
 
 #: Environment knob: default worker count for engines constructed without
 #: an explicit ``jobs`` (lets CI run the whole suite through the parallel
@@ -73,10 +74,22 @@ def resolve_engine(engine):
 
 
 def env_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
-    except ValueError:
+    """The ``REPRO_ENGINE_JOBS`` worker count (1 when unset).
+
+    A value that is not a positive integer is a usage error, exactly
+    like ``--jobs 0``: silently running on one process would hide the
+    typo."""
+    raw = os.environ.get(JOBS_ENV, "").strip()
+    if not raw:
         return 1
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise UsageError(
+            f"{JOBS_ENV} must be a positive integer, got {raw!r}")
+    return jobs
 
 
 class SolverPool:

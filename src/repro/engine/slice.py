@@ -43,21 +43,8 @@ identical cache fingerprints across windows, jobs settings and runs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
-
-#: Environment knob: set to ``0`` to disable obligation slicing wherever
-#: the caller did not pass an explicit ``slice=`` argument.
-SLICE_ENV = "REPRO_ENGINE_SLICE"
-
-
-def env_slice() -> bool:
-    """The environment-default slicing setting (on unless disabled)."""
-    return os.environ.get(SLICE_ENV, "1").strip().lower() not in (
-        "0", "false", "no", "off"
-    )
-
 
 @dataclass
 class SliceResult:

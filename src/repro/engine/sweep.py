@@ -187,7 +187,6 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         if payload.get("cell_type") == CELL_ALERT_WINDOW:
             model = UpecModel(soc, scenario, simplify=payload["simplify"])
             checker = UpecChecker(model, engine=engine,
-                                  slice=payload.get("slice"),
                                   split=payload.get("split"))
             check = checker.find_first_alert_window(
                 max_k=payload["k"],
@@ -209,7 +208,6 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                 conflict_limit=payload["conflict_limit"],
                 simplify=payload["simplify"],
                 engine=engine,
-                slice=payload.get("slice"),
                 split=payload.get("split"),
                 wall_budget=payload.get("wall_budget"),
             )
@@ -236,7 +234,6 @@ class ScenarioSweep:
         conflict_limit: Optional[int] = None,
         cache_dir: Optional[str] = None,
         max_iterations: int = 64,
-        slice: Optional[bool] = None,
         connect: Optional[str] = None,
         split: Optional[bool] = None,
         wall_budget: Optional[float] = None,
@@ -246,7 +243,6 @@ class ScenarioSweep:
         self.conflict_limit = conflict_limit
         self.cache_dir = cache_dir
         self.max_iterations = max_iterations
-        self.slice = slice
         self.connect = connect
         self.split = split
         self.wall_budget = wall_budget
@@ -323,7 +319,6 @@ class ScenarioSweep:
             "wall_budget": self.wall_budget,
             "cache_dir": self.cache_dir,
             "max_iterations": self.max_iterations,
-            "slice": self.slice,
             "connect": self.connect,
             "split": self.split,
         }

@@ -157,19 +157,20 @@ class SatContext:
         conflict_limit: Optional[int] = None,
         wall_budget: Optional[float] = None,
         meta: Optional[Dict[str, Any]] = None,
-        slice: Optional[bool] = None,
+        slice: bool = True,
         frame: Optional[int] = None,
         disjunction: bool = False,
     ):
         """Snapshot the current formula plus AIG-literal assumptions as a
         serializable :class:`repro.engine.obligation.ProofObligation`.
 
-        With slicing (the default, see ``REPRO_ENGINE_SLICE``) the
-        obligation carries only the cone of influence of the assumptions
-        and the asserted units — canonically renumbered, so its
-        fingerprint does not depend on how the shared context grew.
+        The obligation carries only the cone of influence of the
+        assumptions and the asserted units — canonically renumbered, so
+        its fingerprint does not depend on how the shared context grew.
         ``frame`` additionally drops units tagged with a later frame
-        (the UPEC per-frame window assumptions).
+        (the UPEC per-frame window assumptions).  ``slice=False``
+        snapshots the whole context instead: the reference export the
+        slicing differentials compare against.
 
         With ``disjunction=True`` the mapped assumption literals become
         a single appended root clause (their OR) and the obligation
@@ -179,7 +180,7 @@ class SatContext:
         obligation without emitting new OR gates into the shared CNF.
         """
         from repro.engine.obligation import ProofObligation
-        from repro.engine.slice import env_slice, slice_cnf
+        from repro.engine.slice import slice_cnf
 
         # Mapping the assumptions may emit their cones; do it before the
         # clause snapshot so the obligation is self-contained.
@@ -188,7 +189,7 @@ class SatContext:
         totals = self._slice_totals
         totals["obligations_exported"] = \
             totals.get("obligations_exported", 0) + 1
-        if env_slice() if slice is None else slice:
+        if slice:
             sliced = slice_cnf(
                 clauses=log.clauses,
                 nvars=log.nvars,
@@ -384,12 +385,10 @@ class BmcEngine:
 
     def __init__(self, circuit: Circuit, init: str = "reset",
                  simplify: bool = True, engine=None,
-                 slice: Optional[bool] = None,
                  split: Optional[bool] = None) -> None:
         self.circuit = circuit.finalize()
         self.context = SatContext(simplify=simplify)
         self.unroller = Unroller(circuit, self.context.aig, init=init)
-        self.slice = slice
         self.split = split
         from repro.engine.pool import resolve_engine
 
@@ -471,7 +470,6 @@ class BmcEngine:
                 assumptions=[bad], conflict_limit=conflict_limit,
                 meta={"kind": "bmc-frame", "circuit": self.circuit.name,
                       "frame": t, "k": k},
-                slice=self.slice,
             ))
         verdicts = self.engine.solve_ordered(
             obligations, early_stop=lambda v: not v.unsat

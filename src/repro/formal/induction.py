@@ -55,7 +55,6 @@ def prove_by_induction(
     conflict_limit: Optional[int] = None,
     simplify: bool = True,
     engine=None,
-    slice: Optional[bool] = None,
     split: Optional[bool] = None,
 ) -> InductionResult:
     """Attempt to prove ``AG prop`` (under per-cycle assumptions) by
@@ -77,7 +76,7 @@ def prove_by_induction(
     # the BMC engine does not re-consult the environment defaults.
     base_engine = BmcEngine(circuit, init="reset", simplify=simplify,
                             engine=engine if engine is not None else INLINE,
-                            slice=slice, split=split)
+                            split=split)
     base = base_engine.check_always(
         prop, k=k, assumptions=assumptions, conflict_limit=conflict_limit
     )
@@ -104,7 +103,6 @@ def prove_by_induction(
             name=f"induction[{circuit.name}]@step{k}",
             assumptions=[bad], conflict_limit=conflict_limit,
             meta={"kind": "induction-step", "circuit": circuit.name, "k": k},
-            slice=slice,
         )
         verdict = engine.solve(step_ob)
         if verdict.sat:

@@ -143,6 +143,29 @@ def test_check_and_methodology_reject_nonpositive_jobs(capsys):
     assert main(["methodology", "secure", "--jobs", "-1"]) == 64
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_malformed_env_jobs_is_usage_error(monkeypatch, capsys, value):
+    """REPRO_ENGINE_JOBS gets the same fail-fast treatment as --jobs:
+    a typo must not silently fall back to one in-process worker."""
+    monkeypatch.delenv("REPRO_ENGINE_CONNECT", raising=False)
+    monkeypatch.setenv("REPRO_ENGINE_JOBS", value)
+    assert main(["check", "secure", "--uncached", "--k", "1"]) == 64
+    err = capsys.readouterr().err
+    assert "usage error" in err and "REPRO_ENGINE_JOBS" in err
+    assert repr(value) in err
+
+
+def test_malformed_env_cache_max_bytes_is_usage_error(monkeypatch, capsys,
+                                                      tmp_path):
+    monkeypatch.delenv("REPRO_ENGINE_CONNECT", raising=False)
+    monkeypatch.setenv("REPRO_ENGINE_CACHE_MAX_BYTES", "12k")
+    rc = main(["check", "secure", "--uncached", "--k", "1",
+               "--cache-dir", str(tmp_path)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert "REPRO_ENGINE_CACHE_MAX_BYTES" in err and "'12k'" in err
+
+
 def test_connect_rejects_malformed_address(capsys):
     rc = main(["check", "secure", "--connect", "not-an-address"])
     assert rc == 64

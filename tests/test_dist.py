@@ -161,6 +161,41 @@ def test_obligation_wire_roundtrip_preserves_fingerprint():
     assert back.remap is None and back.orig_nvars == 0
 
 
+def test_non_json_frame_tag_is_rejected():
+    """A frame whose checksum is valid but whose codec tag is not ``J``
+    (here ``M``) fails loudly instead of being decoded, on both the
+    threaded and the asyncio receive paths."""
+    import asyncio
+    import struct
+    import zlib
+
+    from repro.dist.protocol import ProtocolError, read_message
+
+    payload = json.dumps({"type": "hello"}).encode()
+    tag = ord("M")
+    crc = zlib.crc32(payload, zlib.crc32(bytes([tag])))
+    frame = struct.pack(">IBI", len(payload), tag, crc) + payload
+
+    left, right = socket.socketpair()
+    conn = Connection(right)
+    try:
+        left.sendall(frame)
+        with pytest.raises(ProtocolError, match="codec tag"):
+            conn.recv()
+    finally:
+        left.close()
+        conn.close()
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(frame)
+        reader.feed_eof()
+        return await read_message(reader)
+
+    with pytest.raises(ProtocolError, match="codec tag"):
+        asyncio.run(read())
+
+
 def test_parse_address():
     assert parse_address("10.0.0.1:7769") == ("10.0.0.1", 7769)
     for bad in ("nohost", "host:port", ":123", "x:", "h:0", "h:99999",
@@ -173,7 +208,7 @@ def test_handshake_rejects_version_mismatch(broker):
     sock = socket.create_connection(("127.0.0.1", broker.port), timeout=5)
     conn = Connection(sock)
     conn.send({"type": "hello", "proto": PROTO_VERSION + 999,
-               "role": "worker", "codecs": ["json"]})
+               "role": "worker"})
     reply = conn.recv()
     assert reply["type"] == "error"
     assert "version mismatch" in reply["reason"]
@@ -187,7 +222,7 @@ def test_handshake_rejects_unknown_role(broker):
     sock = socket.create_connection(("127.0.0.1", broker.port), timeout=5)
     conn = Connection(sock)
     conn.send({"type": "hello", "proto": PROTO_VERSION,
-               "role": "observer", "codecs": ["json"]})
+               "role": "observer"})
     reply = conn.recv()
     assert reply["type"] == "error"
     assert "role" in reply["reason"]
@@ -491,6 +526,13 @@ def test_poison_obligation_quarantined_after_worker_deaths():
             ), timeout=60)
             victim.kill()
             victim.join(timeout=5)
+            # Wait until the broker has processed this death: otherwise
+            # the dead victim's stale in-flight entry satisfies the next
+            # victim's wait, which is then killed before it ever pulls
+            # the job and only one distinct death is counted.
+            assert _wait_for(lambda: not any(
+                w["inflight"] for w in broker.snapshot()["workers"]
+            ), timeout=30)
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert "error" not in outcome, outcome.get("error")
@@ -786,7 +828,6 @@ def test_flapping_broker_worker_backs_off():
     the retry budget: the old loop reset ``retries`` on every successful
     dial, so a flapping broker produced a zero-delay reconnect spin that
     never gave up."""
-    from repro.dist.protocol import supported_codecs
     from repro.dist.worker import Worker
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -806,7 +847,7 @@ def test_flapping_broker_worker_backs_off():
             try:
                 conn.recv()
                 conn.send({"type": "welcome", "proto": PROTO_VERSION,
-                           "codec": supported_codecs()[-1], "id": "x",
+                           "codec": "json", "id": "x",
                            "workers": 0})
             except Exception:
                 pass

@@ -502,6 +502,35 @@ def test_default_engine_env(monkeypatch):
         monkeypatch.setattr(pool_mod, "_shared_key", None)
 
 
+def test_env_jobs_rejects_malformed_values(monkeypatch):
+    import repro.engine.pool as pool_mod
+    from repro.errors import UsageError
+
+    monkeypatch.delenv(pool_mod.JOBS_ENV, raising=False)
+    assert pool_mod.env_jobs() == 1
+    monkeypatch.setenv(pool_mod.JOBS_ENV, "3")
+    assert pool_mod.env_jobs() == 3
+    for bad in ("abc", "0", "-1", "2.5"):
+        monkeypatch.setenv(pool_mod.JOBS_ENV, bad)
+        with pytest.raises(UsageError, match=pool_mod.JOBS_ENV):
+            pool_mod.env_jobs()
+
+
+def test_env_cache_max_bytes_rejects_malformed_values(monkeypatch,
+                                                      tmp_path):
+    from repro.engine.cache import CACHE_MAX_ENV
+    from repro.errors import UsageError
+
+    monkeypatch.setenv(CACHE_MAX_ENV, "4096")
+    assert ResultCache(str(tmp_path)).max_bytes == 4096
+    monkeypatch.setenv(CACHE_MAX_ENV, "0")
+    assert ResultCache(str(tmp_path)).max_bytes is None
+    for bad in ("lots", "-5", "1e6"):
+        monkeypatch.setenv(CACHE_MAX_ENV, bad)
+        with pytest.raises(UsageError, match=CACHE_MAX_ENV):
+            ResultCache(str(tmp_path))
+
+
 # ----------------------------------------------------------------------
 # Index flush on destruction / context exit (worker-death regression)
 # ----------------------------------------------------------------------

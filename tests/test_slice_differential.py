@@ -2,8 +2,9 @@
 
 Sliced and unsliced exports of the same query must be equisatisfiable,
 and a sliced model must expand (via the remap table) to a model of the
-*full* recorded formula — exercised on seeded random miter contexts and
-on the four SoC design variants end to end.  A second family of tests
+*full* recorded formula — exercised on seeded random miter contexts,
+and end to end by comparing the sliced engine with the incremental
+in-context path.  A second family of tests
 pins down the history-independence guarantee: the fingerprint of a
 sliced frame obligation must not move when unrelated frames, registers
 or commitments grow the shared context, which is what makes the proof
@@ -19,7 +20,7 @@ import random
 import pytest
 
 from repro.core import UpecChecker, UpecMethodology, UpecModel, UpecScenario
-from repro.engine import ProofEngine, ResultCache, solve_obligation
+from repro.engine import INLINE, ProofEngine, ResultCache, solve_obligation
 from repro.formal.bmc import SatContext
 from repro.soc import SocConfig, build_soc
 from repro.soc.config import FORMAL_CONFIG_KWARGS
@@ -192,7 +193,7 @@ def test_random_frame_cutoff_matches_rebuilt_reference():
 
 
 # ----------------------------------------------------------------------
-# End-to-end: the four design variants, sliced vs. unsliced
+# End-to-end: sliced engine vs. the incremental in-context path
 # ----------------------------------------------------------------------
 def _alert_sig(alert):
     return None if alert is None else \
@@ -210,26 +211,10 @@ def _methodology_sig(result):
     )
 
 
-def test_methodology_slice_differential_all_variants():
-    """Acceptance: sliced and unsliced runs must agree on verdicts,
-    alert classification (frame, kind, differing registers) and the
-    removed-register sets on every design variant."""
-    for name in VARIANTS:
-        soc = _soc(name)
-        sliced = UpecMethodology(soc, SCENARIO, jobs=1, slice=True) \
-            .run(k=2)
-        unsliced = UpecMethodology(soc, SCENARIO, jobs=1, slice=False) \
-            .run(k=2)
-        assert _methodology_sig(sliced) == _methodology_sig(unsliced), name
-        # Slicing was actually exercised, and it never grew an export.
-        stats = sliced.stats
-        assert stats.get("obligations_sliced", 0) > 0, name
-        assert stats["slice_clauses_out"] <= stats["slice_clauses_in"], name
-
-
 def test_closure_slice_differential():
     """Per-register closure obligations: the holds/fails pattern is
-    formula-determined and must survive slicing."""
+    formula-determined, so the sliced engine must reproduce the
+    incremental in-context solve."""
     from repro.core import InductiveDiffProof
     from repro.core.closure import CondEq
 
@@ -238,37 +223,37 @@ def test_closure_slice_differential():
         CondEq(soc.resp_buf, cond=None),
         CondEq(soc.secret_cache_data_reg, cond=None),
     ]
-    results = {}
-    for mode in (True, False):
-        engine = ProofEngine(jobs=1)
-        try:
-            results[mode] = InductiveDiffProof(
-                soc, SCENARIO, invariant, engine=engine, slice=mode,
-            ).check_step(conflict_limit=200_000)
-        finally:
-            engine.close()
-    assert [(ob.name, ob.holds) for ob in results[True].obligations] == \
-        [(ob.name, ob.holds) for ob in results[False].obligations]
-    assert results[True].holds == results[False].holds
+    engine = ProofEngine(jobs=1)
+    try:
+        sliced = InductiveDiffProof(
+            soc, SCENARIO, invariant, engine=engine,
+        ).check_step(conflict_limit=200_000)
+    finally:
+        engine.close()
+    inline = InductiveDiffProof(
+        soc, SCENARIO, invariant, engine=INLINE,
+    ).check_step(conflict_limit=200_000)
+    assert [(ob.name, ob.holds) for ob in sliced.obligations] == \
+        [(ob.name, ob.holds) for ob in inline.obligations]
+    assert sliced.holds == inline.holds
 
 
 def test_bmc_slice_differential():
     from repro.formal import BmcEngine
     from repro.hdl import Circuit
 
-    for mode in (True, False):
-        c = Circuit("counter")
-        cnt = c.reg("cnt", 8, init=0)
-        c.next(cnt, cnt + 1)
-        c.finalize()
-        engine = ProofEngine(jobs=1)
-        try:
-            result = BmcEngine(c, init="reset", engine=engine,
-                               slice=mode).check_always(cnt.ne(5), k=8)
-        finally:
-            engine.close()
-        assert not result.holds and result.depth == 5
-        assert result.witness.value("cnt", 5) == 5
+    c = Circuit("counter")
+    cnt = c.reg("cnt", 8, init=0)
+    c.next(cnt, cnt + 1)
+    c.finalize()
+    engine = ProofEngine(jobs=1)
+    try:
+        result = BmcEngine(c, init="reset",
+                           engine=engine).check_always(cnt.ne(5), k=8)
+    finally:
+        engine.close()
+    assert not result.holds and result.depth == 5
+    assert result.witness.value("cnt", 5) == 5
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +340,7 @@ def test_checker_stops_unrolling_after_alert_at_jobs1(tmp_path):
     model = UpecModel(soc, SCENARIO)
     engine = ProofEngine(jobs=1)
     try:
-        result = UpecChecker(model, engine=engine, slice=True).check(k=6)
+        result = UpecChecker(model, engine=engine).check(k=6)
     finally:
         engine.close()
     assert result.status == "alert"

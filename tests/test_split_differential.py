@@ -49,10 +49,9 @@ def _methodology_signature(result):
     )
 
 
-def _run_check(variant, split, engine, k=2, slice=None):
+def _run_check(variant, split, engine, k=2):
     model = UpecModel(SOCS[variant], SCENARIO)
-    return UpecChecker(model, engine=engine, split=split,
-                       slice=slice).check(k=k)
+    return UpecChecker(model, engine=engine, split=split).check(k=k)
 
 
 def _run_methodology(variant, split, engine, k=2):
@@ -155,18 +154,6 @@ def test_checker_split_matches_unsplit(variant):
     finally:
         baseline_engine.close()
         parallel_engine.close()
-
-
-def test_checker_split_matches_unsplit_without_slicing():
-    engine = ProofEngine(jobs=1)
-    try:
-        baseline = _check_signature(
-            _run_check("orc", split=False, engine=engine, slice=False))
-        assert _check_signature(
-            _run_check("orc", split=True, engine=engine, slice=False)
-        ) == baseline
-    finally:
-        engine.close()
 
 
 # ----------------------------------------------------------------------
