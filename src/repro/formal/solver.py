@@ -87,6 +87,10 @@ class CdclSolver:
         self._trail_lim: List[int] = []
         self._qhead = 0
         self._order: List[tuple] = []  # max-heap via negated activities
+        #: per variable, the activity of its newest entry in ``_order``
+        #: (None once that entry is popped): re-pushing an entry that is
+        #: already queued would only add a duplicate to pop later.
+        self._queued: List[Optional[float]] = [None]
         self._ok = True
         self._model: List[int] = []
         self.stats = Stats()
@@ -108,6 +112,7 @@ class CdclSolver:
         self._watches.append([])
         self._watches.append([])
         heapq.heappush(self._order, (0.0, self.nvars))
+        self._queued.append(0.0)
         return self.nvars
 
     def _to_internal(self, lit: int) -> int:
@@ -254,6 +259,7 @@ class CdclSolver:
                 activity[v] *= 1e-100
             self._var_inc *= 1e-100
         heapq.heappush(self._order, (-activity[var], var))
+        self._queued[var] = activity[var]
 
     def _bump_clause(self, clause: List[int]) -> None:
         key = id(clause)
@@ -344,12 +350,15 @@ class CdclSolver:
         push = heapq.heappush
         order = self._order
         activity = self._activity
+        queued = self._queued
         for lit in reversed(self._trail[bound:]):
             var = lit >> 1
             polarity[var] = bool(assign[var])
             assign[var] = _UNASSIGNED
             reason[var] = None
-            push(order, (-activity[var], var))
+            if queued[var] != activity[var]:
+                push(order, (-activity[var], var))
+                queued[var] = activity[var]
         del self._trail[bound:]
         del self._trail_lim[target_level:]
         self._qhead = len(self._trail)
@@ -414,8 +423,11 @@ class CdclSolver:
         order = self._order
         assign = self._assign
         activity = self._activity
+        queued = self._queued
         while order:
             neg_act, var = heapq.heappop(order)
+            if queued[var] == -neg_act:
+                queued[var] = None
             if assign[var] == _UNASSIGNED and -neg_act == activity[var]:
                 return 2 * var + (0 if self._polarity[var] else 1)
         for var in range(1, self.nvars + 1):
@@ -438,6 +450,8 @@ class CdclSolver:
             if assign[var] == _UNASSIGNED and -neg_act == activity[var]:
                 break
             heapq.heappop(order)
+            if self._queued[var] == -neg_act:
+                self._queued[var] = None
         if not order:
             return base
         best = -order[0][0]

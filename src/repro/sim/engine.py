@@ -3,6 +3,11 @@
 The simulator evaluates the combinational DAG once per cycle in topological
 order, then commits all register next-values simultaneously — standard
 synchronous semantics.  Values are Python ints masked to their width.
+
+The DAG is decoded once per simulator into a flat slot program: every node
+gets an index into a per-cycle value list, and every interior node one small
+closure that reads its children's slots.  A cycle is then a single pass over
+that program, with no per-node operator dispatch or ``id()`` lookups.
 """
 
 from __future__ import annotations
@@ -86,6 +91,96 @@ def _eval_node(op: str, node: Expr, values: Dict[int, int]) -> int:
     raise SimulationError(f"unknown operator {op!r}")
 
 
+def _node_program(node: Expr, slot: Dict[int, int]) -> Callable[[List[int]], int]:
+    """One interior node as a closure over the per-cycle slot list; the
+    arithmetic mirrors :func:`_eval_node` exactly."""
+    op = node.op
+    args = [slot[id(a)] for a in node.args]
+    m = mask(node.width)
+    if op == OP_NOT:
+        a, = args
+        return lambda v: v[a] ^ m
+    if op == OP_AND:
+        a, b = args
+        return lambda v: v[a] & v[b]
+    if op == OP_OR:
+        a, b = args
+        return lambda v: v[a] | v[b]
+    if op == OP_XOR:
+        a, b = args
+        return lambda v: v[a] ^ v[b]
+    if op == OP_ADD:
+        a, b = args
+        return lambda v: (v[a] + v[b]) & m
+    if op == OP_SUB:
+        a, b = args
+        return lambda v: (v[a] - v[b]) & m
+    if op == OP_EQ:
+        a, b = args
+        return lambda v: 1 if v[a] == v[b] else 0
+    if op == OP_NE:
+        a, b = args
+        return lambda v: 1 if v[a] != v[b] else 0
+    if op == OP_ULT:
+        a, b = args
+        return lambda v: 1 if v[a] < v[b] else 0
+    if op == OP_ULE:
+        a, b = args
+        return lambda v: 1 if v[a] <= v[b] else 0
+    if op == OP_MUX:
+        c, a, b = args
+        return lambda v: v[a] if v[c] else v[b]
+    if op == OP_CAT:
+        parts = []
+        shift = 0
+        for child, a in zip(node.args, args):
+            parts.append((a, shift))
+            shift += child.width
+        if len(parts) == 2:
+            (a, _), (b, s) = parts
+            return lambda v: v[a] | (v[b] << s)
+
+        def cat(v: List[int]) -> int:
+            acc = 0
+            for a, s in parts:
+                acc |= v[a] << s
+            return acc
+
+        return cat
+    if op == OP_SLICE:
+        a, = args
+        lo, hi = node.params
+        sm = mask(hi - lo)
+        return lambda v: (v[a] >> lo) & sm
+    if op == OP_SHL:
+        a, = args
+        amount = node.params[0]
+        return lambda v: (v[a] << amount) & m
+    if op == OP_LSHR:
+        a, = args
+        amount = node.params[0]
+        return lambda v: v[a] >> amount
+    if op == OP_REDOR:
+        a, = args
+        return lambda v: 1 if v[a] != 0 else 0
+    if op == OP_REDAND:
+        a, = args
+        am = mask(node.args[0].width)
+        return lambda v: 1 if v[a] == am else 0
+
+    def unknown(v: List[int]) -> int:
+        raise SimulationError(f"unknown operator {op!r}")
+
+    return unknown
+
+
+def _missing_input(name: str) -> Callable[[List[int]], int]:
+    def missing(v: List[int]) -> int:
+        raise SimulationError(f"missing value for input {name!r}")
+
+    return missing
+
+
 class Simulator:
     """Simulate a finalized circuit cycle by cycle.
 
@@ -116,35 +211,60 @@ class Simulator:
         if overrides:
             unknown = ", ".join(sorted(overrides))
             raise SimulationError(f"init override for unknown register(s): {unknown}")
-        self._values: Dict[int, int] = {}
+        self._decode()
+        #: slot values of the last ``step`` (None before the first one)
+        self._values: Optional[List[int]] = None
         self._last_inputs: Dict[str, int] = {}
+
+    def _decode(self) -> None:
+        """Lay the topological order out as a slot program."""
+        circuit = self.circuit
+        slot = {id(node): i for i, node in enumerate(self._order)}
+        self._slot = slot
+        self._template = [0] * len(self._order)
+        self._input_slots: List[Tuple[str, int, int]] = [
+            (name, slot[id(node)], mask(node.width))
+            for name, node in circuit.inputs.items() if id(node) in slot
+        ]
+        bound_inputs = {id(node) for node in circuit.inputs.values()}
+        self._reg_slots: List[Tuple[int, Expr]] = []
+        self._program: List[Tuple[int, Callable[[List[int]], int]]] = []
+        for i, node in enumerate(self._order):
+            op = node.op
+            if op == OP_CONST:
+                self._template[i] = node.params[0]
+            elif op == OP_REG:
+                self._reg_slots.append((i, node))
+            elif op == OP_INPUT:
+                if id(node) not in bound_inputs:
+                    self._program.append(
+                        (i, _missing_input(node.params[0])))
+            else:
+                self._program.append((i, _node_program(node, slot)))
+        self._output_slots = [(name, slot[id(expr)])
+                              for name, expr in circuit.outputs.items()]
+        self._next_slots = [(reg, slot[id(reg.next)])
+                            for reg in circuit.regs.values()]
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _evaluate(self, inputs: Mapping[str, int]) -> Dict[int, int]:
-        values: Dict[int, int] = {}
+    def _evaluate(self, inputs: Mapping[str, int]) -> List[int]:
         circ_inputs = self.circuit.inputs
-        for name, node in circ_inputs.items():
+        for name in circ_inputs:
             if name not in inputs:
                 raise SimulationError(f"missing value for input {name!r}")
-            values[id(node)] = inputs[name] & mask(node.width)
-        extra = set(inputs) - set(circ_inputs)
-        if extra:
+        if len(inputs) != len(circ_inputs):
+            extra = set(inputs) - set(circ_inputs)
             raise SimulationError(f"unknown input(s): {', '.join(sorted(extra))}")
-        for node in self._order:
-            key = id(node)
-            if key in values:
-                continue
-            op = node.op
-            if op == OP_CONST:
-                values[key] = node.params[0]
-            elif op == OP_REG:
-                values[key] = self.state[node]  # type: ignore[index]
-            elif op == OP_INPUT:
-                raise SimulationError(f"missing value for input {node.params[0]!r}")
-            else:
-                values[key] = _eval_node(op, node, values)
+        values = self._template[:]
+        for name, i, m in self._input_slots:
+            values[i] = inputs[name] & m
+        state = self.state
+        for i, reg in self._reg_slots:
+            values[i] = state[reg]  # type: ignore[index]
+        for i, fn in self._program:
+            values[i] = fn(values)
         return values
 
     def step(self, inputs: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
@@ -153,14 +273,8 @@ class Simulator:
         values = self._evaluate(inputs)
         self._values = values
         self._last_inputs = inputs
-        outputs = {
-            name: values[id(expr)] for name, expr in self.circuit.outputs.items()
-        }
-        new_state: Dict[Reg, int] = {}
-        for reg in self.circuit.regs.values():
-            assert reg.next is not None
-            new_state[reg] = values[id(reg.next)]
-        self.state = new_state
+        outputs = {name: values[i] for name, i in self._output_slots}
+        self.state = {reg: values[i] for reg, i in self._next_slots}
         self.cycle += 1
         return outputs
 
@@ -193,14 +307,14 @@ class Simulator:
                 return self.state[self.circuit.regs[target]]
             if target in self.circuit.outputs:
                 target = self.circuit.outputs[target]
-                if id(target) in self._values:
-                    return self._values[id(target)]
+                if self._values is not None:
+                    return self._values[self._slot[id(target)]]
             else:
                 raise SimulationError(f"unknown signal {target!r}")
         if isinstance(target, Reg):
             return self.state[target]
-        if id(target) in self._values:
-            return self._values[id(target)]
+        if self._values is not None and id(target) in self._slot:
+            return self._values[self._slot[id(target)]]
         return self.eval(target)
 
     def eval(self, expr: Expr, inputs: Optional[Mapping[str, int]] = None) -> int:

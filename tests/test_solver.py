@@ -261,3 +261,26 @@ def test_cancel_check_false_does_not_change_verdicts():
     assert solver.solve(cancel_check=lambda: False) is True
     unsat = make_solver(1, [[1], [-1]])
     assert unsat.solve(cancel_check=lambda: False) is False
+
+
+def test_decision_heap_holds_no_redundant_entries():
+    """Backtracking re-queues a variable only when its newest heap entry
+    is gone or stale: every queued activity is really in the heap, and
+    no (activity, variable) entry is ever queued twice."""
+    import random
+
+    rng = random.Random(7)
+    nvars = 150
+    clauses = [[rng.choice((-1, 1)) * rng.randint(1, nvars)
+                for _ in range(3)] for _ in range(int(nvars * 4.26))]
+    solver = make_solver(nvars, clauses)
+    # Stop mid-search, so the heap still holds what the restarts and
+    # backtracks queued (a SAT answer would have drained it).
+    assert solver.solve(conflict_limit=500) is None
+    order = solver._order
+    assert len(set(order)) == len(order)
+    entries = set(order)
+    for var in range(1, nvars + 1):
+        queued = solver._queued[var]
+        if queued is not None:
+            assert (-queued, var) in entries
