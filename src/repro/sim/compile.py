@@ -1,6 +1,6 @@
 """Circuit-to-Python compilation for fast simulation.
 
-The interpreting simulator walks the expression DAG with a dict per node;
+The interpreting simulator runs one closure per DAG node each cycle;
 for long-running workloads (the attack demos execute hundreds of programs)
 this module instead emits one Python function per circuit that computes
 the next state and outputs with plain local-variable arithmetic —

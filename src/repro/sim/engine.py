@@ -8,6 +8,8 @@ The DAG is decoded once per simulator into a flat slot program: every node
 gets an index into a per-cycle value list, and every interior node one small
 closure that reads its children's slots.  A cycle is then a single pass over
 that program, with no per-node operator dispatch or ``id()`` lookups.
+``eval`` decodes the cone of the probed expression the same way, so both
+paths share one copy of the operator semantics.
 """
 
 from __future__ import annotations
@@ -44,56 +46,8 @@ from repro.hdl.expr import (
 )
 
 
-def _eval_node(op: str, node: Expr, values: Dict[int, int]) -> int:
-    """Evaluate one interior node given its children's values."""
-    args = node.args
-    w = node.width
-    if op == OP_NOT:
-        return values[id(args[0])] ^ mask(w)
-    if op == OP_AND:
-        return values[id(args[0])] & values[id(args[1])]
-    if op == OP_OR:
-        return values[id(args[0])] | values[id(args[1])]
-    if op == OP_XOR:
-        return values[id(args[0])] ^ values[id(args[1])]
-    if op == OP_ADD:
-        return (values[id(args[0])] + values[id(args[1])]) & mask(w)
-    if op == OP_SUB:
-        return (values[id(args[0])] - values[id(args[1])]) & mask(w)
-    if op == OP_EQ:
-        return int(values[id(args[0])] == values[id(args[1])])
-    if op == OP_NE:
-        return int(values[id(args[0])] != values[id(args[1])])
-    if op == OP_ULT:
-        return int(values[id(args[0])] < values[id(args[1])])
-    if op == OP_ULE:
-        return int(values[id(args[0])] <= values[id(args[1])])
-    if op == OP_MUX:
-        return values[id(args[1])] if values[id(args[0])] else values[id(args[2])]
-    if op == OP_CAT:
-        acc = 0
-        shift = 0
-        for part in args:
-            acc |= values[id(part)] << shift
-            shift += part.width
-        return acc
-    if op == OP_SLICE:
-        lo, hi = node.params
-        return (values[id(args[0])] >> lo) & mask(hi - lo)
-    if op == OP_SHL:
-        return (values[id(args[0])] << node.params[0]) & mask(w)
-    if op == OP_LSHR:
-        return values[id(args[0])] >> node.params[0]
-    if op == OP_REDOR:
-        return int(values[id(args[0])] != 0)
-    if op == OP_REDAND:
-        return int(values[id(args[0])] == mask(args[0].width))
-    raise SimulationError(f"unknown operator {op!r}")
-
-
 def _node_program(node: Expr, slot: Dict[int, int]) -> Callable[[List[int]], int]:
-    """One interior node as a closure over the per-cycle slot list; the
-    arithmetic mirrors :func:`_eval_node` exactly."""
+    """One interior node as a closure over the per-cycle slot list."""
     op = node.op
     args = [slot[id(a)] for a in node.args]
     m = mask(node.width)
@@ -181,6 +135,53 @@ def _missing_input(name: str) -> Callable[[List[int]], int]:
     return missing
 
 
+class _SlotProgram:
+    """A topological order laid out as a slot program.
+
+    Every node gets an index into a value list; constants are preset in
+    ``template``, registers are read from the state, the ``bound`` inputs
+    are filled by the caller, and every other node is computed by one
+    closure in ``program``.  An input that is not bound raises when read.
+    """
+
+    def __init__(self, order: Sequence[Expr],
+                 bound: Mapping[str, Expr]) -> None:
+        self.slot = {id(node): i for i, node in enumerate(order)}
+        slot = self.slot
+        self.template = [0] * len(order)
+        self.input_slots: List[Tuple[str, int, int]] = [
+            (name, slot[id(node)], mask(node.width))
+            for name, node in bound.items() if id(node) in slot
+        ]
+        bound_ids = {id(node) for node in bound.values()}
+        self.reg_slots: List[Tuple[int, Expr]] = []
+        self.program: List[Tuple[int, Callable[[List[int]], int]]] = []
+        for i, node in enumerate(order):
+            op = node.op
+            if op == OP_CONST:
+                self.template[i] = node.params[0]
+            elif op == OP_REG:
+                self.reg_slots.append((i, node))
+            elif op == OP_INPUT:
+                if id(node) not in bound_ids:
+                    self.program.append((i, _missing_input(node.params[0])))
+            else:
+                self.program.append((i, _node_program(node, slot)))
+
+    def run(self, inputs: Mapping[str, int],
+            state: Mapping[Reg, int]) -> List[int]:
+        """Every node's value for one cycle; ``inputs`` must hold every
+        bound input."""
+        values = self.template[:]
+        for name, i, m in self.input_slots:
+            values[i] = inputs[name] & m
+        for i, reg in self.reg_slots:
+            values[i] = state[reg]  # type: ignore[index]
+        for i, fn in self.program:
+            values[i] = fn(values)
+        return values
+
+
 class Simulator:
     """Simulate a finalized circuit cycle by cycle.
 
@@ -211,40 +212,15 @@ class Simulator:
         if overrides:
             unknown = ", ".join(sorted(overrides))
             raise SimulationError(f"init override for unknown register(s): {unknown}")
-        self._decode()
+        self._program = _SlotProgram(self._order, circuit.inputs)
+        self._slot = self._program.slot
+        self._output_slots = [(name, self._slot[id(expr)])
+                              for name, expr in circuit.outputs.items()]
+        self._next_slots = [(reg, self._slot[id(reg.next)])
+                            for reg in circuit.regs.values()]
         #: slot values of the last ``step`` (None before the first one)
         self._values: Optional[List[int]] = None
         self._last_inputs: Dict[str, int] = {}
-
-    def _decode(self) -> None:
-        """Lay the topological order out as a slot program."""
-        circuit = self.circuit
-        slot = {id(node): i for i, node in enumerate(self._order)}
-        self._slot = slot
-        self._template = [0] * len(self._order)
-        self._input_slots: List[Tuple[str, int, int]] = [
-            (name, slot[id(node)], mask(node.width))
-            for name, node in circuit.inputs.items() if id(node) in slot
-        ]
-        bound_inputs = {id(node) for node in circuit.inputs.values()}
-        self._reg_slots: List[Tuple[int, Expr]] = []
-        self._program: List[Tuple[int, Callable[[List[int]], int]]] = []
-        for i, node in enumerate(self._order):
-            op = node.op
-            if op == OP_CONST:
-                self._template[i] = node.params[0]
-            elif op == OP_REG:
-                self._reg_slots.append((i, node))
-            elif op == OP_INPUT:
-                if id(node) not in bound_inputs:
-                    self._program.append(
-                        (i, _missing_input(node.params[0])))
-            else:
-                self._program.append((i, _node_program(node, slot)))
-        self._output_slots = [(name, slot[id(expr)])
-                              for name, expr in circuit.outputs.items()]
-        self._next_slots = [(reg, slot[id(reg.next)])
-                            for reg in circuit.regs.values()]
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -257,15 +233,7 @@ class Simulator:
         if len(inputs) != len(circ_inputs):
             extra = set(inputs) - set(circ_inputs)
             raise SimulationError(f"unknown input(s): {', '.join(sorted(extra))}")
-        values = self._template[:]
-        for name, i, m in self._input_slots:
-            values[i] = inputs[name] & m
-        state = self.state
-        for i, reg in self._reg_slots:
-            values[i] = state[reg]  # type: ignore[index]
-        for i, fn in self._program:
-            values[i] = fn(values)
-        return values
+        return self._program.run(inputs, self.state)
 
     def step(self, inputs: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
         """Advance one clock cycle; returns the outputs sampled this cycle."""
@@ -324,24 +292,10 @@ class Simulator:
         """
         merged = dict(self._last_inputs)
         merged.update(inputs or {})
-        values: Dict[int, int] = {}
-        for name, node in self.circuit.inputs.items():
-            if name in merged:
-                values[id(node)] = merged[name] & mask(node.width)
-        for node in topo_order([expr]):
-            key = id(node)
-            if key in values:
-                continue
-            op = node.op
-            if op == OP_CONST:
-                values[key] = node.params[0]
-            elif op == OP_REG:
-                values[key] = self.state[node]  # type: ignore[index]
-            elif op == OP_INPUT:
-                raise SimulationError(f"missing value for input {node.params[0]!r}")
-            else:
-                values[key] = _eval_node(op, node, values)
-        return values[id(expr)]
+        bound = {name: node for name, node in self.circuit.inputs.items()
+                 if name in merged}
+        program = _SlotProgram(topo_order([expr]), bound)
+        return program.run(merged, self.state)[program.slot[id(expr)]]
 
     def poke(self, reg: "Reg | str", value: int) -> None:
         """Force a register to a value (testing aid)."""

@@ -282,6 +282,20 @@ def test_fingerprint_invariant_under_context_growth():
     assert again.clauses == first.clauses
 
 
+def test_frame_exports_slice_on_every_variant():
+    """Every design variant's frame obligations go through the slicer,
+    and a slice never holds more clauses than the context it was cut
+    from."""
+    for name in VARIANTS:
+        model = UpecModel(_soc(name), SCENARIO)
+        regs = model.default_commitment()
+        for frame in (1, 2):
+            assert model.frame_obligation(regs, frame) is not None, name
+        stats = model.stats()
+        assert stats.get("obligations_sliced", 0) == 2, name
+        assert stats["slice_clauses_out"] <= stats["slice_clauses_in"], name
+
+
 def test_fingerprint_identical_across_fresh_contexts():
     """Two independent models of the same design/scenario produce
     bit-identical obligations for the same (commitment, frame) query —
@@ -306,6 +320,11 @@ def test_warm_cache_hits_at_longer_window(tmp_path):
     longer = UpecMethodology(soc, SCENARIO, jobs=1,
                              cache_dir=str(tmp_path)).run(k=3)
     assert first.stats["engine_cache_hits"] == 0
+    # The methodology's exports were sliced, and slicing never grew one.
+    for result in (first, longer):
+        assert result.stats.get("obligations_sliced", 0) > 0
+        assert result.stats["slice_clauses_out"] <= \
+            result.stats["slice_clauses_in"]
     assert longer.stats["engine_cache_hits"] > 0
     assert longer.stats["engine_cache_hits"] >= \
         first.stats["engine_cache_misses"] - 1  # frame 3 & beyond are new
